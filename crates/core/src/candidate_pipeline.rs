@@ -17,6 +17,11 @@
 //!    `n` with reject-on-first-failure, on the CSR or the
 //!    frontier-compressed exploration engine.
 //!
+//! Stages 1 and 2 run on the fingerprint decoded straight into a reused
+//! [`CandidateView`], through one [`PrefilterScratch`] that computes the
+//! Karp–Miller cover once for both; a [`Protocol`] is materialised only for
+//! the candidates that reach stage 3.
+//!
 //! # Cross-candidate memoization
 //!
 //! All three stages are functions of the candidate's *coverable-support
@@ -66,7 +71,7 @@ use crate::orbit_stream::{
 };
 use popproto_model::{Output, Protocol, ProtocolBuilder, StateId};
 use popproto_reach::{frontier_threshold_profile, unary_threshold_profile, ExploreLimits};
-use popproto_symbolic::{eta_floor_prefilter, threshold_prefilter, SymbolicLimits};
+use popproto_symbolic::{CandidateView, PrefilterScratch, PrefilterVerdict, SymbolicLimits};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -611,6 +616,7 @@ pub struct CandidatePipeline {
     fingerprint: Vec<u8>,
     scratch: Vec<u8>,
     scratch_best: Vec<u8>,
+    triage: Triage,
 }
 
 impl CandidatePipeline {
@@ -635,6 +641,7 @@ impl CandidatePipeline {
             fingerprint: Vec::new(),
             scratch: Vec::new(),
             scratch_best: Vec::new(),
+            triage: Triage::default(),
         }
     }
 
@@ -715,7 +722,7 @@ impl CandidatePipeline {
             );
         }
         if !self.config.memoize {
-            let verdict = triage(&fingerprint_protocol(&self.fingerprint), &self.config);
+            let verdict = self.triage.run(&self.fingerprint, &self.config);
             self.apply(verdict, index);
             return;
         }
@@ -732,7 +739,7 @@ impl CandidatePipeline {
                 return;
             }
         }
-        let verdict = triage(&fingerprint_protocol(&self.fingerprint), &self.config);
+        let verdict = self.triage.run(&self.fingerprint, &self.config);
         self.insert_local(verdict);
         if let Some(table) = shared {
             table.insert(&self.fingerprint, verdict);
@@ -866,23 +873,44 @@ pub(crate) fn canonicalize_fingerprint(
     std::mem::swap(bytes, best);
 }
 
-/// The staged triage of one (restricted) candidate protocol.
-fn triage(protocol: &Protocol, config: &PipelineConfig) -> MemoVerdict {
-    if !threshold_prefilter(protocol, config.max_input, &config.symbolic) {
-        return MemoVerdict::RejectedSymbolic;
-    }
-    if !eta_floor_prefilter(protocol, config.eta_floor, &config.symbolic) {
-        return MemoVerdict::RejectedEta;
-    }
-    let profile = match config.engine {
-        ReachEngine::Csr => unary_threshold_profile(protocol, config.max_input, &config.explore),
-        ReachEngine::Frontier => {
-            frontier_threshold_profile(protocol, config.max_input, &config.explore)
+/// The staged triage of one fingerprint, with buffers reused across
+/// candidates.
+#[derive(Debug, Default)]
+struct Triage {
+    view: CandidateView,
+    prefilter: PrefilterScratch,
+}
+
+impl Triage {
+    /// Runs the symbolic prefilters on the fingerprint decoded straight into
+    /// a [`CandidateView`]; only a candidate that passes both is
+    /// materialised as a [`Protocol`] and profiled on concrete slices.
+    fn run(&mut self, fingerprint: &[u8], config: &PipelineConfig) -> MemoVerdict {
+        decode_fingerprint(fingerprint, &mut self.view);
+        let verdict = self.prefilter.prefilter(
+            &self.view,
+            config.max_input,
+            config.eta_floor,
+            &config.symbolic,
+        );
+        match verdict {
+            PrefilterVerdict::RejectedThreshold => return MemoVerdict::RejectedSymbolic,
+            PrefilterVerdict::RejectedEtaFloor => return MemoVerdict::RejectedEta,
+            PrefilterVerdict::Passed => {}
         }
-    };
-    MemoVerdict::Profiled {
-        verified: profile.verified_threshold(),
-        truncated: profile.inputs.iter().any(|p| !p.exhaustive),
+        let protocol = fingerprint_protocol(fingerprint);
+        let profile = match config.engine {
+            ReachEngine::Csr => {
+                unary_threshold_profile(&protocol, config.max_input, &config.explore)
+            }
+            ReachEngine::Frontier => {
+                frontier_threshold_profile(&protocol, config.max_input, &config.explore)
+            }
+        };
+        MemoVerdict::Profiled {
+            verified: profile.verified_threshold(),
+            truncated: profile.inputs.iter().any(|p| !p.exhaustive),
+        }
     }
 }
 
@@ -937,9 +965,31 @@ fn encode_fingerprint(
     }
 }
 
-/// Materialises the restriction protocol a fingerprint encodes.  The triage
-/// stages run on this protocol, which makes the memoized verdict a function
-/// of the fingerprint *by construction*.
+/// Decodes a fingerprint into `view`: the restriction's `k` states with
+/// their outputs, input state 0 (ω agents, no leaders) and the non-silent
+/// transitions in pair order — the view [`CandidateView::from_protocol`]
+/// builds from [`fingerprint_protocol`] of the same bytes.  The triage
+/// stages run on what the bytes decode to, which makes the memoized verdict
+/// a function of the fingerprint *by construction*.
+fn decode_fingerprint(bytes: &[u8], view: &mut CandidateView) {
+    let k = bytes[0] as usize;
+    let out_bits = bytes[1];
+    view.reset(k);
+    for q in 0..k {
+        view.set_output(q, Output::from_bool((out_bits >> q) & 1 == 1));
+    }
+    view.add_input_state(0);
+    let mut idx = 2;
+    for a in 0..k {
+        for b in a..k {
+            view.push_transition((a, b), (bytes[idx] as usize, bytes[idx + 1] as usize));
+            idx += 2;
+        }
+    }
+}
+
+/// Materialises the restriction protocol a fingerprint encodes, for the
+/// concrete-slice stage.
 fn fingerprint_protocol(bytes: &[u8]) -> Protocol {
     let k = bytes[0] as usize;
     let out_bits = bytes[1];
@@ -1482,6 +1532,95 @@ mod tests {
             stream: "zz".to_owned(),
         };
         assert!(garbage.unpack().is_err());
+    }
+
+    /// Seeded random restriction fingerprints of 3–5 states (any bytes in
+    /// the layout of [`encode_fingerprint`], silent pairs included).
+    fn random_fingerprints(count: usize) -> Vec<Vec<u8>> {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        (0..count)
+            .map(|_| {
+                let k = 3 + next(3) as u8;
+                let mut bytes = vec![k, next(1 << k) as u8];
+                for _ in 0..(k as usize * (k as usize + 1) / 2) {
+                    let (c, d) = (next(k as u64) as u8, next(k as u64) as u8);
+                    bytes.push(c.min(d));
+                    bytes.push(c.max(d));
+                }
+                bytes
+            })
+            .collect()
+    }
+
+    #[test]
+    fn decoded_views_match_the_materialised_protocols() {
+        let mut view = CandidateView::default();
+        for bytes in random_fingerprints(300) {
+            decode_fingerprint(&bytes, &mut view);
+            assert_eq!(
+                view,
+                CandidateView::from_protocol(&fingerprint_protocol(&bytes)),
+                "{bytes:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn prefilter_cap_paths_are_pinned() {
+        use popproto_symbolic::{eta_floor_prefilter, threshold_prefilter};
+        // Every combination of tiny backward-basis, ideal and cover-label
+        // caps, so that the caps trip on most candidates: a drift in *when*
+        // a cap trips changes the digest.  The digest was recorded from the
+        // prefilters as they ran on `DownwardClosedSet`s.
+        let sample = random_fingerprints(300);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut triage = Triage::default();
+        for &basis in &[1usize, 2, 4] {
+            for &ideals in &[1usize, 2, 4] {
+                for &labels in &[1usize, 2, 4] {
+                    let limits = SymbolicLimits {
+                        max_backward_basis: basis,
+                        max_ideals: ideals,
+                        max_cover_labels: labels,
+                        ..SymbolicLimits::prefilter()
+                    };
+                    for bytes in &sample {
+                        let p = fingerprint_protocol(bytes);
+                        let passes_threshold = threshold_prefilter(&p, 6, &limits);
+                        let passes_eta = eta_floor_prefilter(&p, 3, &limits);
+                        let code = passes_threshold as u64 | (passes_eta as u64) << 1;
+                        digest = (digest ^ code).wrapping_mul(0x0000_0100_0000_01b3);
+                        // The pipeline's own path: decoded view, reused
+                        // scratch, one cover shared by both stages.
+                        decode_fingerprint(bytes, &mut triage.view);
+                        let expected = if !passes_threshold {
+                            PrefilterVerdict::RejectedThreshold
+                        } else if !passes_eta {
+                            PrefilterVerdict::RejectedEtaFloor
+                        } else {
+                            PrefilterVerdict::Passed
+                        };
+                        assert_eq!(
+                            triage.prefilter.prefilter(&triage.view, 6, 3, &limits),
+                            expected,
+                            "{bytes:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            digest, 0x2d51_f19c_6adf_2c89,
+            "a cap trips on different candidates"
+        );
     }
 
     #[test]

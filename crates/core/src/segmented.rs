@@ -268,7 +268,9 @@ pub struct SegmentedSearch {
     /// Segment ids in visit order.
     order: Vec<u32>,
     /// Runtime state per segment id (`None` = untouched).
-    runs: Vec<Option<SegmentRun>>,
+    /// One slot per planned segment, boxed: the plan can hold 2¹⁴ slots
+    /// of which a prefix search touches a few hundred.
+    runs: Vec<Option<Box<SegmentRun>>>,
     /// The orbit target of the latest [`SegmentedSearch::run`] — the merge
     /// cut: [`SegmentedSearch::result`] folds the minimal in-order segment
     /// prefix whose canonical-orbit count reaches it, which keeps the
@@ -353,13 +355,13 @@ impl SegmentedSearch {
                     .unpack()
                     .expect("corrupt packed local memo in checkpoint"),
             );
-            search.runs[seg_id] = Some(SegmentRun {
+            search.runs[seg_id] = Some(Box::new(SegmentRun {
                 start,
                 end: entry.end.get(),
                 cursor: entry.cursor.clone(),
                 pipeline,
                 done: entry.done,
-            });
+            }));
         }
         search
     }
@@ -688,14 +690,14 @@ impl SegmentedSearch {
 
         // Move each wave segment's state into its job; results are moved
         // back afterwards (distinct segments, so no sharing is needed).
-        let jobs: Vec<(usize, u32, SegmentRun)> = positions
+        let jobs: Vec<(usize, u32, Box<SegmentRun>)> = positions
             .iter()
             .map(|&pos| {
                 let seg_id = self.order[pos];
                 let run = self.runs[seg_id as usize].take().unwrap_or_else(|| {
                     let start = self.seg_size * seg_id as u128;
                     let end = (start + self.seg_size).min(self.end);
-                    SegmentRun {
+                    Box::new(SegmentRun {
                         start,
                         end,
                         cursor: OrbitStream::range(&self.space, start, end).cursor(),
@@ -704,7 +706,7 @@ impl SegmentedSearch {
                             self.config.clone(),
                         ),
                         done: false,
-                    }
+                    })
                 });
                 (pos, seg_id, run)
             })
@@ -715,9 +717,9 @@ impl SegmentedSearch {
         let tracker = Arc::new(Mutex::new(tracker));
         let space = Arc::clone(&self.space);
         let shared = Arc::clone(&self.shared);
-        let finished: Vec<(u32, SegmentRun)> = pool.map(
+        let finished: Vec<(u32, Box<SegmentRun>)> = pool.map(
             jobs,
-            move |_, (pos, seg_id, mut run): (usize, u32, SegmentRun)| {
+            move |_, (pos, seg_id, mut run): (usize, u32, Box<SegmentRun>)| {
                 if run.done || cancel.load(Ordering::Relaxed) {
                     return (seg_id, run);
                 }

@@ -53,6 +53,9 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 /// earlier session are discarded instead of contaminating a new trace.
 static SESSION: AtomicU64 = AtomicU64::new(0);
 
+/// Start of the current session, nanoseconds since the trace epoch.
+static SESSION_START_NS: AtomicU64 = AtomicU64::new(0);
+
 /// Next thread id handed to a recording thread (0 is reserved).
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -73,6 +76,11 @@ pub(crate) fn ns_since_epoch(t: Instant) -> u64 {
     t.duration_since(epoch()).as_nanos() as u64
 }
 
+/// Start of the current tracing session, nanoseconds since the trace epoch.
+pub(crate) fn session_start_ns() -> u64 {
+    SESSION_START_NS.load(Ordering::Relaxed)
+}
+
 /// Returns `true` while span/instant recording is switched on.
 ///
 /// This is the fast-path check: one relaxed atomic load.
@@ -84,6 +92,7 @@ pub fn enabled() -> bool {
 /// Switches tracing on and clears any previously collected events.
 pub fn start() {
     epoch(); // pin the epoch before the first event
+    SESSION_START_NS.store(ns_since_epoch(Instant::now()), Ordering::SeqCst);
     SESSION.fetch_add(1, Ordering::SeqCst);
     sink().lock().expect("obs sink poisoned").clear();
     ENABLED.store(true, Ordering::SeqCst);

@@ -13,7 +13,7 @@
 
 use std::time::Instant;
 
-use crate::{enabled, ns_since_epoch, with_buf, Event};
+use crate::{enabled, ns_since_epoch, session_start_ns, with_buf, Event};
 
 /// Cumulative per-phase wall-clock nanoseconds over any number of
 /// rounds, with optional span emission at each boundary.
@@ -58,7 +58,14 @@ impl Phases {
         self.ns[idx] += dur_ns;
         if enabled() {
             let name = self.names[idx];
-            let ts_ns = ns_since_epoch(mark.t);
+            // A phase that began before tracing was switched on is clipped
+            // to the session start.  Its raw start would precede the
+            // session (or even the epoch, where it saturated to 0 while the
+            // duration kept the pre-session part), and the shifted span
+            // would overlap the phases and waves that follow it.
+            let end_ns = ns_since_epoch(now);
+            let ts_ns = ns_since_epoch(mark.t).max(session_start_ns()).min(end_ns);
+            let dur_ns = end_ns - ts_ns;
             with_buf(|b| {
                 b.sync_session();
                 let tid = b.tid;
@@ -137,6 +144,38 @@ mod tests {
         p.reset();
         assert_eq!(p.rounds(), 0);
         assert_eq!(p.total_ns(), 0);
+    }
+
+    #[test]
+    fn a_phase_begun_before_start_is_clipped_to_the_session() {
+        let _guard = crate::test_support::serial();
+        let mut p = Phases::new(&["early", "late"]);
+        let mut m = p.begin_round();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        crate::start();
+        let session = crate::session_start_ns();
+        p.mark(&mut m, 0);
+        p.mark(&mut m, 1);
+        let trace = crate::stop();
+        let early = trace
+            .events()
+            .iter()
+            .find_map(|e| match e {
+                Event::Complete {
+                    name: "early",
+                    ts_ns,
+                    dur_ns,
+                    ..
+                } => Some((*ts_ns, *dur_ns)),
+                _ => None,
+            })
+            .expect("the early phase is traced");
+        assert!(early.0 >= session, "starts at the session: {early:?}");
+        assert!(
+            early.1 < 2_000_000,
+            "the pre-session part is cut: {early:?}"
+        );
+        crate::validate_chrome_trace(&trace.to_chrome_trace()).expect("phases abut");
     }
 
     #[test]

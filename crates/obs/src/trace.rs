@@ -258,13 +258,17 @@ impl<'a> Parser<'a> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // the byte stream is valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or backslash in one
+                    // piece.  Neither byte occurs inside a multi-byte UTF-8
+                    // scalar, so the run is valid UTF-8 on its own, and each
+                    // byte is decoded once.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -496,6 +500,37 @@ mod tests {
                 max_depth: 2,
             }
         );
+    }
+
+    #[test]
+    fn a_megabyte_trace_validates_in_linear_time() {
+        // Long thread names with multi-byte scalars and escapes exercise the
+        // string decoder, which used to re-check the whole remaining
+        // document for every character.
+        let mut events = Vec::new();
+        for tid in 1..=64u64 {
+            events.push(Event::ThreadName {
+                tid,
+                name: format!("wörker \"{tid}\" \\ {}", "ω-row ".repeat(40)),
+            });
+            for k in 0..400u64 {
+                events.push(Event::Complete {
+                    name: "segment",
+                    tid,
+                    ts_ns: k * 1_000,
+                    dur_ns: 900,
+                    arg: Some(("k", k)),
+                });
+            }
+        }
+        let json = to_chrome_trace(&events);
+        assert!(json.len() >= 1 << 20, "{} bytes", json.len());
+        let started = std::time::Instant::now();
+        let summary = validate_chrome_trace(&json).expect("must validate");
+        let elapsed = started.elapsed();
+        assert_eq!(summary.complete, 64 * 400);
+        assert_eq!(summary.metadata, 64);
+        assert!(elapsed.as_secs_f64() < 1.0, "validation took {elapsed:?}");
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //! (Lemma 3.1 in action: the finite basis witnesses downward closure for
 //! *all* population sizes simultaneously).
 
+use crate::omega::{insert_maximal, insert_minimal, row_leq, rows64_to_set, OMEGA64};
+use crate::view::CandidateView;
 use crate::SymbolicLimits;
 use popproto_model::{Output, Protocol};
-use popproto_vas::{DownwardClosedSet, Ideal};
+use popproto_vas::DownwardClosedSet;
 use serde::{Deserialize, Serialize};
 
 /// The minimal basis of an upward-closed set `pre*(↑targets)`.
@@ -45,71 +47,170 @@ impl CoverabilityBasis {
     }
 }
 
+/// Reusable buffers of the backward fixpoint and the complement, as flat
+/// `u64` rows of stride `|Q|` (see [`crate::omega`]).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BackwardRows {
+    /// The minimal basis, in `retain`-then-`push` insertion order.
+    pub(crate) minimal: Vec<u64>,
+    /// The complement's ideal rows (`OMEGA64` = unbounded).
+    pub(crate) ideals: Vec<u64>,
+    targets: Vec<u64>,
+    worklist: Vec<u64>,
+    next: Vec<u64>,
+    row: Vec<u64>,
+    cand: Vec<u64>,
+}
+
+impl BackwardRows {
+    /// The backward fixpoint of `view` from the rows of `self.targets`,
+    /// leaving the basis in `self.minimal`.  Returns `(generated, complete)`.
+    ///
+    /// For a transition `t : (a, b) ↦ (c, d)` and a minimal target `m`, the
+    /// minimal configuration that fires `t` into `↑m` is
+    /// `q ↦ max(pre_t(q), m(q) − post_t(q) + pre_t(q))`.  The worklist is
+    /// LIFO, and the caps are checked before each expansion.
+    fn backward(&mut self, view: &CandidateView, limits: &SymbolicLimits) -> (usize, bool) {
+        let n = view.num_states();
+        self.minimal.clear();
+        self.worklist.clear();
+        for t in self.targets.chunks_exact(n) {
+            if insert_minimal(&mut self.minimal, t) {
+                self.worklist.extend_from_slice(t);
+            }
+        }
+        let mut generated = 0usize;
+        while !self.worklist.is_empty() {
+            let top = self.worklist.len() - n;
+            self.row.clear();
+            self.row.extend_from_slice(&self.worklist[top..]);
+            self.worklist.truncate(top);
+            // A frontier element subsumed since it was queued contributes
+            // only non-minimal predecessors; skip it.
+            if !self.minimal.chunks_exact(n).any(|m| *m == self.row[..]) {
+                continue;
+            }
+            if self.minimal.len() / n > limits.max_backward_basis
+                || generated > 64 * limits.max_backward_basis
+            {
+                return (generated, false);
+            }
+            for &delta in view.deltas() {
+                generated += 1;
+                let [p0, p1, q0, q1] = delta;
+                let pre = |q: usize| u64::from(p0 == q) + u64::from(p1 == q);
+                let post = |q: usize| u64::from(q0 == q) + u64::from(q1 == q);
+                // The predecessor is ≥ m, and so subsumed by the basis element
+                // at or below m, unless t nets an agent in a state where m
+                // needs more agents than t consumes.
+                if ![q0, q1]
+                    .into_iter()
+                    .any(|q| post(q) > pre(q) && self.row[q] > pre(q))
+                {
+                    continue;
+                }
+                self.cand.clear();
+                self.cand.extend_from_slice(&self.row);
+                for q in delta {
+                    self.cand[q] = pre(q).max((self.row[q] + pre(q)).saturating_sub(post(q)));
+                }
+                if insert_minimal(&mut self.minimal, &self.cand) {
+                    self.worklist.extend_from_slice(&self.cand);
+                }
+            }
+        }
+        (generated, true)
+    }
+
+    /// The complement of `↑self.minimal` (stride `n`) into `self.ideals`,
+    /// as the antichain of maximal ideal rows.  Returns `false` if an
+    /// intermediate antichain exceeds `limits.max_ideals`.
+    ///
+    /// `¬↑m = ⋃_{q : m(q) ≥ 1} ↓⟨…, m(q) − 1 at q, ω elsewhere⟩`, and the
+    /// complement of the union is the intersection of the per-element
+    /// complements, taken one basis element at a time.  Each step keeps the
+    /// maximal rows of the pairwise intersections, a set independent of the
+    /// order they are generated in, so its size — checked against the cap
+    /// after every step — is too.
+    fn complement(&mut self, n: usize, limits: &SymbolicLimits) -> bool {
+        self.ideals.clear();
+        self.ideals.resize(n, OMEGA64);
+        for m in self.minimal.chunks_exact(n) {
+            self.next.clear();
+            for r in self.ideals.chunks_exact(n) {
+                // ↓r ∩ ↓⟨m(q) − 1 at q⟩ lowers entry q of r.  If some entry
+                // of r is already below m(q) (m ≰ r), that intersection is r
+                // itself, which contains every other one.
+                if !row_leq(m, r) {
+                    insert_maximal(&mut self.next, r);
+                    continue;
+                }
+                for q in (0..n).filter(|&q| m[q] >= 1) {
+                    self.cand.clear();
+                    self.cand.extend_from_slice(r);
+                    self.cand[q] = m[q] - 1;
+                    insert_maximal(&mut self.next, &self.cand);
+                }
+            }
+            // An all-zero element covers everything: the complement is empty.
+            std::mem::swap(&mut self.ideals, &mut self.next);
+            if self.ideals.len() / n > limits.max_ideals {
+                return false;
+            }
+            if self.ideals.is_empty() {
+                break;
+            }
+        }
+        true
+    }
+
+    /// `SC_b` of `view` into `self.ideals`: the complement of the backward
+    /// fixpoint from the unit rows of the states with output `≠ b`.
+    /// Returns `None` if the complement exceeded the ideal cap, otherwise
+    /// whether the fixpoint converged (the set is then exact).
+    pub(crate) fn stable_set(
+        &mut self,
+        view: &CandidateView,
+        b: Output,
+        limits: &SymbolicLimits,
+    ) -> Option<bool> {
+        let n = view.num_states();
+        self.targets.clear();
+        for (q, &out) in view.outputs().iter().enumerate() {
+            if out != b {
+                let start = self.targets.len();
+                self.targets.resize(start + n, 0);
+                self.targets[start + q] = 1;
+            }
+        }
+        let (_, complete) = self.backward(view, limits);
+        self.complement(n, limits).then_some(complete)
+    }
+}
+
 /// Computes the minimal basis of `pre*(↑targets)` by the standard backward
 /// algorithm, keeping the frontier antichain-minimised at every step.
 ///
-/// For a transition `t : (a, b) ↦ (c, d)` and a minimal target `m`, the
-/// minimal configuration that fires `t` into `↑m` is
-/// `q ↦ max(pre_t(q), m(q) − post_t(q) + pre_t(q))`.
+/// # Panics
+///
+/// Panics if a target has the wrong dimension.
 pub fn backward_coverability(
     protocol: &Protocol,
     targets: &[Vec<u64>],
     limits: &SymbolicLimits,
 ) -> CoverabilityBasis {
-    let n = protocol.num_states();
-    let transitions: Vec<(Vec<u64>, Vec<u64>)> = protocol
-        .non_silent_transitions()
-        .map(|t| {
-            let mut pre = vec![0u64; n];
-            pre[t.pre.lo().index()] += 1;
-            pre[t.pre.hi().index()] += 1;
-            let mut post = vec![0u64; n];
-            post[t.post.lo().index()] += 1;
-            post[t.post.hi().index()] += 1;
-            (pre, post)
-        })
-        .collect();
-
-    let mut minimal: Vec<Vec<u64>> = Vec::new();
-    let mut worklist: Vec<Vec<u64>> = Vec::new();
-    let mut generated = 0usize;
-    let insert = |cand: Vec<u64>, minimal: &mut Vec<Vec<u64>>, worklist: &mut Vec<Vec<u64>>| {
-        if minimal
-            .iter()
-            .any(|m| m.iter().zip(&cand).all(|(a, b)| a <= b))
-        {
-            return;
-        }
-        minimal.retain(|m| !cand.iter().zip(m).all(|(a, b)| a <= b));
-        worklist.push(cand.clone());
-        minimal.push(cand);
-    };
+    let view = CandidateView::from_protocol(protocol);
+    let n = view.num_states();
     for t in targets {
         assert_eq!(t.len(), n, "target dimension mismatch");
-        insert(t.clone(), &mut minimal, &mut worklist);
     }
-
-    let mut complete = true;
-    while let Some(m) = worklist.pop() {
-        // A frontier element subsumed since it was queued contributes only
-        // non-minimal predecessors; skip it.
-        if !minimal.contains(&m) {
-            continue;
-        }
-        if minimal.len() > limits.max_backward_basis || generated > 64 * limits.max_backward_basis {
-            complete = false;
-            break;
-        }
-        for (pre, post) in &transitions {
-            generated += 1;
-            let cand: Vec<u64> = (0..n)
-                .map(|q| pre[q].max((m[q] + pre[q]).saturating_sub(post[q])))
-                .collect();
-            insert(cand, &mut minimal, &mut worklist);
-        }
-    }
+    let mut rows = BackwardRows {
+        targets: targets.concat(),
+        ..BackwardRows::default()
+    };
+    let (generated, complete) = rows.backward(&view, limits);
     CoverabilityBasis {
-        minimal,
+        minimal: rows.minimal.chunks_exact(n).map(<[u64]>::to_vec).collect(),
         generated,
         complete,
     }
@@ -118,37 +219,19 @@ pub fn backward_coverability(
 /// The complement of the upward-closed set `↑{m₁ … m_k}`, as a canonical
 /// downward-closed set.
 ///
-/// `¬↑m = ⋃_{q : m(q) ≥ 1} ↓⟨…, m(q) − 1 at q, ω elsewhere⟩`, and the
-/// complement of the union is the intersection of the per-element
-/// complements.  Returns `None` if an intermediate antichain exceeds
-/// `limits.max_ideals` (the result would not be trustworthy to compute
-/// further with).
+/// Returns `None` if an intermediate antichain exceeds `limits.max_ideals`
+/// (the result would not be trustworthy to compute further with).
 pub fn complement_of_upward(
     minimal: &[Vec<u64>],
     num_states: usize,
     limits: &SymbolicLimits,
 ) -> Option<DownwardClosedSet> {
-    let mut result = DownwardClosedSet::from_ideal(Ideal::full(num_states));
-    for m in minimal {
-        let mut layer = DownwardClosedSet::empty();
-        for (q, &count) in m.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let mut bounds: Vec<Option<u64>> = vec![None; num_states];
-            bounds[q] = Some(count - 1);
-            layer.insert(Ideal::new(bounds));
-        }
-        // An all-zero element covers everything: the complement is empty.
-        result = result.intersect(&layer);
-        if result.len() > limits.max_ideals {
-            return None;
-        }
-        if result.is_empty() {
-            break;
-        }
-    }
-    Some(result)
+    let mut rows = BackwardRows {
+        minimal: minimal.concat(),
+        ..BackwardRows::default()
+    };
+    rows.complement(num_states, limits)
+        .then(|| rows64_to_set(&rows.ideals, num_states))
 }
 
 /// A symbolically computed stable set `SC_b`, valid for every population
@@ -177,23 +260,15 @@ pub fn symbolic_stable_sets(
     b: Output,
     limits: &SymbolicLimits,
 ) -> Option<SymbolicStableSet> {
-    let n = protocol.num_states();
-    let targets: Vec<Vec<u64>> = protocol
-        .state_ids()
-        .filter(|&q| protocol.output_of(q) != b)
-        .map(|q| {
-            let mut unit = vec![0u64; n];
-            unit[q.index()] = 1;
-            unit
-        })
-        .collect();
-    let basis = backward_coverability(protocol, &targets, limits);
-    let set = complement_of_upward(&basis.minimal, n, limits)?;
+    let view = CandidateView::from_protocol(protocol);
+    let mut rows = BackwardRows::default();
+    let exact = rows.stable_set(&view, b, limits)?;
+    let n = view.num_states();
     Some(SymbolicStableSet {
         output: b,
-        set,
-        basis_size: basis.minimal.len(),
-        exact: basis.complete,
+        set: rows64_to_set(&rows.ideals, n),
+        basis_size: rows.minimal.len() / n,
+        exact,
     })
 }
 

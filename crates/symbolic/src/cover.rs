@@ -25,6 +25,7 @@
 //! being an over-approximation of reachability must check it.
 
 use crate::omega::{row_leq, row_to_ideal, OmegaArena, OMEGA};
+use crate::view::CandidateView;
 use crate::SymbolicLimits;
 use popproto_model::Protocol;
 use popproto_vas::DownwardClosedSet;
@@ -58,124 +59,123 @@ impl KarpMillerCover {
     }
 }
 
+/// Reusable buffers of the Karp–Miller construction: the label arena and
+/// the parent links.  After [`CoverRows::karp_miller`] the arena holds
+/// every generated label; only the maximal ones matter for the cover, but
+/// the non-maximal ones lie below them and change no bound taken over it.
+#[derive(Debug, Clone)]
+pub(crate) struct CoverRows {
+    pub(crate) arena: OmegaArena,
+    parent: Vec<u32>,
+    row: Vec<u32>,
+}
+
+impl Default for CoverRows {
+    fn default() -> Self {
+        CoverRows {
+            arena: OmegaArena::new(0),
+            parent: Vec::new(),
+            row: Vec::new(),
+        }
+    }
+}
+
+impl CoverRows {
+    /// Runs Karp–Miller on `view` from its ω-initial row, breadth-first in
+    /// label order.  Returns `(expanded, complete)`.
+    pub(crate) fn karp_miller(
+        &mut self,
+        view: &CandidateView,
+        limits: &SymbolicLimits,
+    ) -> (usize, bool) {
+        let n = view.num_states();
+        let arena = &mut self.arena;
+        arena.clear(n);
+        arena.intern(view.root());
+        // `parent[id]` is the node whose expansion produced label `id`
+        // (`u32::MAX` for the root); labels are created exactly once, so
+        // label ids double as node ids and the ancestor chain of a label is
+        // well defined.
+        let parent = &mut self.parent;
+        parent.clear();
+        parent.push(u32::MAX);
+
+        let scratch = &mut self.row;
+        scratch.clear();
+        scratch.resize(n, 0);
+        let mut head: usize = 0;
+        while head < arena.len() {
+            if arena.len() > limits.max_cover_labels {
+                return (head, false);
+            }
+            let id = head as u32;
+            head += 1;
+            for &[p0, p1, q0, q1] in view.deltas() {
+                {
+                    let row = arena.row(id);
+                    let enabled = if p0 == p1 {
+                        row[p0] >= 2
+                    } else {
+                        row[p0] >= 1 && row[p1] >= 1
+                    };
+                    if !enabled {
+                        continue;
+                    }
+                    scratch.copy_from_slice(row);
+                }
+                omega_dec(scratch, p0);
+                omega_dec(scratch, p1);
+                omega_inc(scratch, q0);
+                omega_inc(scratch, q1);
+                // Accelerate against every ancestor on the path, repeating
+                // until no ancestor strictly below the successor remains (an
+                // acceleration can unlock further dominations).
+                loop {
+                    let mut changed = false;
+                    let mut anc = id;
+                    loop {
+                        let anc_row = arena.row(anc);
+                        if row_leq(anc_row, &scratch[..]) {
+                            for (s, &a) in scratch.iter_mut().zip(anc_row) {
+                                if a < *s && *s != OMEGA {
+                                    *s = OMEGA;
+                                    changed = true;
+                                }
+                            }
+                        }
+                        if parent[anc as usize] == u32::MAX {
+                            break;
+                        }
+                        anc = parent[anc as usize];
+                    }
+                    if !changed {
+                        break;
+                    }
+                }
+                let (_, fresh) = arena.intern(scratch);
+                if fresh {
+                    parent.push(id);
+                }
+            }
+        }
+        (head, true)
+    }
+}
+
 /// Runs Karp–Miller from the ω-initial row `L + ω·I(x)` (every input
 /// variable receives `ω` agents; leaders keep their exact counts).
 pub fn karp_miller(protocol: &Protocol, limits: &SymbolicLimits) -> KarpMillerCover {
-    let mut root: Vec<u32> = protocol
-        .leaders()
-        .counts()
-        .iter()
-        .map(|&c| u32::try_from(c).expect("leader count exceeds u32"))
-        .collect();
-    for var in protocol.input_variables() {
-        root[var.state.index()] = OMEGA;
-    }
-    karp_miller_from(protocol, &[root], limits)
-}
-
-/// Runs Karp–Miller from explicit root ω-rows.
-///
-/// # Panics
-///
-/// Panics if a root has the wrong dimension.
-pub fn karp_miller_from(
-    protocol: &Protocol,
-    roots: &[Vec<u32>],
-    limits: &SymbolicLimits,
-) -> KarpMillerCover {
-    let n = protocol.num_states();
-    let deltas: Vec<[usize; 4]> = protocol
-        .non_silent_transitions()
-        .map(|t| {
-            [
-                t.pre.lo().index(),
-                t.pre.hi().index(),
-                t.post.lo().index(),
-                t.post.hi().index(),
-            ]
-        })
-        .collect();
-
-    let mut arena = OmegaArena::new(n);
-    // `parent[id]` is the node whose expansion produced label `id`
-    // (`u32::MAX` for roots); labels are created exactly once, so label ids
-    // double as node ids and the ancestor chain of a label is well defined.
-    let mut parent: Vec<u32> = Vec::new();
-    for root in roots {
-        let (_, fresh) = arena.intern(root);
-        if fresh {
-            parent.push(u32::MAX);
-        }
-    }
-
-    let mut scratch: Vec<u32> = vec![0; n];
-    let mut complete = true;
-    let mut head: usize = 0;
-    while head < arena.len() {
-        if arena.len() > limits.max_cover_labels {
-            complete = false;
-            break;
-        }
-        let id = head as u32;
-        head += 1;
-        for &[p0, p1, q0, q1] in &deltas {
-            {
-                let row = arena.row(id);
-                let enabled = if p0 == p1 {
-                    row[p0] == OMEGA || row[p0] >= 2
-                } else {
-                    (row[p0] == OMEGA || row[p0] >= 1) && (row[p1] == OMEGA || row[p1] >= 1)
-                };
-                if !enabled {
-                    continue;
-                }
-                scratch.copy_from_slice(row);
-            }
-            omega_dec(&mut scratch, p0);
-            omega_dec(&mut scratch, p1);
-            omega_inc(&mut scratch, q0);
-            omega_inc(&mut scratch, q1);
-            // Accelerate against every ancestor on the path, repeating until
-            // no ancestor strictly below the successor remains (an
-            // acceleration can unlock further dominations).
-            loop {
-                let mut changed = false;
-                let mut anc = id;
-                loop {
-                    let anc_row = arena.row(anc);
-                    if anc_row != scratch && row_leq(anc_row, &scratch) {
-                        for q in 0..n {
-                            if scratch[q] != OMEGA && anc_row[q] < scratch[q] {
-                                scratch[q] = OMEGA;
-                                changed = true;
-                            }
-                        }
-                    }
-                    if parent[anc as usize] == u32::MAX {
-                        break;
-                    }
-                    anc = parent[anc as usize];
-                }
-                if !changed {
-                    break;
-                }
-            }
-            let (_, fresh) = arena.intern(&scratch);
-            if fresh {
-                parent.push(id);
-            }
-        }
-    }
-
+    let mut rows = CoverRows::default();
+    let (expanded, complete) = rows.karp_miller(&CandidateView::from_protocol(protocol), limits);
     let mut set = DownwardClosedSet::empty();
-    for (_, row) in arena.iter() {
+    for (_, row) in rows.arena.iter() {
         set.insert(row_to_ideal(row));
     }
     set.canonicalize();
     KarpMillerCover {
         set,
-        labels: arena.len(),
-        expanded: head,
+        labels: rows.arena.len(),
+        expanded,
         complete,
     }
 }

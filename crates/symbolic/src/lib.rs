@@ -9,8 +9,11 @@
 //! representation that Lemma 3.1 guarantees is closed under the operations
 //! the paper's lower-bound machinery needs:
 //!
-//! * [`omega`] — interned flat ω-rows ([`OmegaArena`], mirroring
-//!   `reach::ConfigArena`), so subsumption checks allocate nothing;
+//! * [`omega`] — flat ω-rows with an ω sentinel and the interning
+//!   [`OmegaArena`] (mirroring `reach::ConfigArena`), so subsumption checks
+//!   allocate nothing;
+//! * [`view`] — the [`CandidateView`] every algorithm below runs on: state
+//!   count, outputs, ω-initial row and non-silent transition deltas;
 //! * [`cover`] — Karp–Miller forward acceleration: a finite downward-closed
 //!   over-approximation of everything reachable from every population size;
 //! * [`backward`] — backward coverability with antichain-minimised
@@ -23,7 +26,12 @@
 //! * [`verifier`] — the [`SymbolicVerifier`], which combines all of the
 //!   above into sound all-`n` verdicts for threshold predicates, and the
 //!   [`threshold_prefilter`] that rejects busy-beaver candidates before any
-//!   concrete slice is explored.
+//!   concrete slice is explored (allocation-free per candidate through a
+//!   reused [`PrefilterScratch`]).
+//!
+//! Backward coverability, the complement and Karp–Miller each have one
+//! implementation, on flat rows; the functions returning
+//! [`popproto_vas::DownwardClosedSet`]s convert at their boundary.
 //!
 //! See `crates/symbolic/README.md` for the acceleration/antichain design
 //! notes and the full soundness argument.
@@ -38,19 +46,22 @@ pub mod omega;
 pub mod rays;
 pub mod termination;
 pub mod verifier;
+pub mod view;
 
 pub use backward::{
     backward_coverability, complement_of_upward, symbolic_stable_sets, CoverabilityBasis,
     SymbolicStableSet,
 };
-pub use cover::{karp_miller, karp_miller_from, KarpMillerCover};
+pub use cover::{karp_miller, KarpMillerCover};
 pub use invariants::{invariant_cones, max_bad_silent_size, BadSilentBound, InvariantCones};
 pub use omega::{row_leq, row_to_ideal, OmegaArena, OMEGA};
 pub use rays::nonneg_cone_generators;
 pub use termination::{find_silencing_certificate, EliminationRound, SilencingCertificate};
 pub use verifier::{
-    eta_floor_prefilter, silent_ideals, threshold_prefilter, SymbolicVerifier, ThresholdVerdict,
+    eta_floor_prefilter, silent_ideals, threshold_prefilter, PrefilterScratch, PrefilterVerdict,
+    SymbolicVerifier, ThresholdVerdict,
 };
+pub use view::CandidateView;
 
 use popproto_reach::ExploreLimits;
 use serde::{Deserialize, Serialize};

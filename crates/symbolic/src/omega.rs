@@ -1,28 +1,35 @@
-//! ω-configurations as flat `u32` rows, and the interning [`OmegaArena`].
+//! ω-configurations as flat rows, and the interning [`OmegaArena`].
 //!
 //! An ω-configuration is an element of `(N ∪ {ω})^Q`; the forward
 //! acceleration of [`crate::cover`] and the backward antichains of
 //! [`crate::backward`] manipulate hundreds to thousands of them.  Mirroring
-//! `popproto_reach::ConfigArena`'s flat-buffer design, every row lives inside
-//! one backing `Vec<u32>` with the sentinel [`OMEGA`] marking unbounded
-//! entries, and deduplication goes through an open-addressed table that
-//! hashes the raw slices — subsumption checks and membership tests are
-//! allocation-free slice walks.
+//! `popproto_reach::ConfigArena`'s flat-buffer design, a set of rows lives
+//! inside one backing buffer with stride `|Q|` — `u32` rows with the
+//! sentinel [`OMEGA`] for the forward cover, `u64` rows with [`OMEGA64`]
+//! for the backward bases and their complements.  Both sentinels are the
+//! largest value of their type, so the ω order is the plain pointwise order
+//! (`k ≤ ω` for every finite `k`, and `min(k, ω) = k`): subsumption checks,
+//! intersections and membership tests are allocation-free slice walks.
+//! Deduplication in the arena goes through an open-addressed table that
+//! hashes the raw slices.
 
-use popproto_vas::Ideal;
+use popproto_vas::{DownwardClosedSet, Ideal};
 
-/// The `ω` sentinel: a count of `u32::MAX` means "unbounded".
+/// The `ω` sentinel of `u32` rows: a count of `u32::MAX` means "unbounded".
 ///
 /// Finite counts must stay strictly below this value; the arena and the
 /// Karp–Miller loop enforce the invariant.
 pub const OMEGA: u32 = u32::MAX;
 
+/// The `ω` sentinel of `u64` rows (backward bases and stable-set ideals).
+pub const OMEGA64: u64 = u64::MAX;
+
 /// Pointwise order on ω-rows: `a ≤ b` with `k ≤ ω` for every finite `k`.
-pub fn row_leq(a: &[u32], b: &[u32]) -> bool {
+///
+/// Because [`OMEGA`] is `u32::MAX`, this is the plain pointwise `≤`.
+pub fn row_leq<T: Copy + Ord>(a: &[T], b: &[T]) -> bool {
     debug_assert_eq!(a.len(), b.len());
-    a.iter()
-        .zip(b)
-        .all(|(&x, &y)| y == OMEGA || (x != OMEGA && x <= y))
+    a.iter().zip(b).all(|(x, y)| x <= y)
 }
 
 /// Converts an ω-row into the [`Ideal`] of configurations below it.
@@ -32,6 +39,69 @@ pub fn row_to_ideal(row: &[u32]) -> Ideal {
             .map(|&c| if c == OMEGA { None } else { Some(c as u64) })
             .collect(),
     )
+}
+
+/// Collects the `u64` ω-rows of a flat buffer (stride `num_states`) into a
+/// canonical [`DownwardClosedSet`].
+pub(crate) fn rows64_to_set(rows: &[u64], num_states: usize) -> DownwardClosedSet {
+    let mut set = DownwardClosedSet::empty();
+    for row in rows.chunks_exact(num_states) {
+        set.insert(Ideal::new(
+            row.iter().map(|&c| (c != OMEGA64).then_some(c)).collect(),
+        ));
+    }
+    set.canonicalize();
+    set
+}
+
+/// Flattens the ideals of a set into `u64` ω-rows.
+pub(crate) fn set_to_rows64(set: &DownwardClosedSet) -> Vec<u64> {
+    set.ideals()
+        .iter()
+        .flat_map(|ideal| ideal.bounds().iter().map(|b| b.unwrap_or(OMEGA64)))
+        .collect()
+}
+
+/// Adds `row` to the antichain of **maximal** rows in `rows` (stride
+/// `row.len()`): nothing happens if an existing row dominates it; otherwise
+/// every row it dominates is removed (survivors keep their order) and it is
+/// appended.  Returns `true` if the row was added.
+pub(crate) fn insert_maximal(rows: &mut Vec<u64>, row: &[u64]) -> bool {
+    insert_extremal(rows, row, |a, b| row_leq(b, a))
+}
+
+/// Adds `row` to the antichain of **minimal** rows in `rows`, the order
+/// dual of [`insert_maximal`].  Returns `true` if the row was added.
+pub(crate) fn insert_minimal(rows: &mut Vec<u64>, row: &[u64]) -> bool {
+    insert_extremal(rows, row, row_leq)
+}
+
+/// Adds `row` to the antichain of `below`-minimal rows: rejected if some row
+/// is `below` it, otherwise appended after removing every row it is below.
+fn insert_extremal(
+    rows: &mut Vec<u64>,
+    row: &[u64],
+    below: impl Fn(&[u64], &[u64]) -> bool,
+) -> bool {
+    let n = row.len();
+    if rows.chunks_exact(n).any(|r| below(r, row)) {
+        return false;
+    }
+    retain_rows(rows, n, |r| !below(row, r));
+    rows.extend_from_slice(row);
+    true
+}
+
+/// Keeps the rows (stride `n`) satisfying `keep`, in order, in place.
+fn retain_rows(rows: &mut Vec<u64>, n: usize, keep: impl Fn(&[u64]) -> bool) {
+    let mut write = 0;
+    for read in (0..rows.len()).step_by(n) {
+        if keep(&rows[read..read + n]) {
+            rows.copy_within(read..read + n, write);
+            write += n;
+        }
+    }
+    rows.truncate(write);
 }
 
 /// Interns ω-rows (count vectors over a fixed state set, with [`OMEGA`]
@@ -73,6 +143,23 @@ impl OmegaArena {
             mask: INITIAL_TABLE - 1,
             len: 0,
         }
+    }
+
+    /// Empties the arena and sets its dimension, keeping the row buffer's
+    /// allocation for reuse.
+    pub fn clear(&mut self, num_states: usize) {
+        self.num_states = num_states;
+        self.rows.clear();
+        self.table.clear();
+        self.table.resize(INITIAL_TABLE, 0);
+        self.mask = INITIAL_TABLE - 1;
+        self.len = 0;
+    }
+
+    /// The raw backing buffer: every interned row in id order, stride
+    /// [`OmegaArena::num_states`].
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
     }
 
     /// The dimension (number of states) of the interned rows.
@@ -211,6 +298,40 @@ mod tests {
     fn ideal_conversion() {
         let ideal = row_to_ideal(&[2, OMEGA]);
         assert_eq!(ideal.bounds(), &[Some(2), None]);
+    }
+
+    #[test]
+    fn antichain_inserts_keep_extremal_rows_in_order() {
+        let mut min = Vec::new();
+        assert!(insert_minimal(&mut min, &[2, 0]));
+        assert!(insert_minimal(&mut min, &[0, 3]));
+        assert!(!insert_minimal(&mut min, &[2, 1]), "above [2, 0]");
+        assert!(!insert_minimal(&mut min, &[0, 3]), "already present");
+        assert!(insert_minimal(&mut min, &[1, 0]), "below [2, 0]");
+        assert_eq!(min, [0, 3, 1, 0]);
+
+        let mut max = vec![OMEGA64, 1, 4, OMEGA64];
+        assert!(!insert_maximal(&mut max, &[7, 0]));
+        assert!(insert_maximal(&mut max, &[OMEGA64, 2]));
+        assert_eq!(max, [4, OMEGA64, OMEGA64, 2]);
+        assert_eq!(
+            set_to_rows64(&rows64_to_set(&max, 2)),
+            max,
+            "canonical order"
+        );
+    }
+
+    #[test]
+    fn clear_reuses_the_arena_at_a_new_dimension() {
+        let mut arena = OmegaArena::new(2);
+        for i in 0..100 {
+            arena.intern(&[i, OMEGA]);
+        }
+        arena.clear(3);
+        assert!(arena.is_empty());
+        assert_eq!(arena.lookup(&[0, OMEGA, 0]), None);
+        assert_eq!(arena.intern(&[0, OMEGA, 0]), (0, true));
+        assert_eq!(arena.rows(), &[0, OMEGA, 0]);
     }
 
     #[test]

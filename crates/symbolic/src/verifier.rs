@@ -36,10 +36,12 @@
 //! `verified_threshold` — it is rejected before a single concrete slice is
 //! explored.
 
-use crate::backward::{symbolic_stable_sets, SymbolicStableSet};
-use crate::cover::{karp_miller, KarpMillerCover};
+use crate::backward::{symbolic_stable_sets, BackwardRows, SymbolicStableSet};
+use crate::cover::{karp_miller, CoverRows, KarpMillerCover};
 use crate::invariants::{invariant_cones, max_bad_silent_size, BadSilentBound, InvariantCones};
+use crate::omega::{set_to_rows64, OMEGA, OMEGA64};
 use crate::termination::{find_silencing_certificate, SilencingCertificate};
+use crate::view::CandidateView;
 use crate::{complement_of_upward, SymbolicLimits};
 use popproto_model::{Output, Protocol};
 use popproto_reach::unary_threshold_profile;
@@ -174,7 +176,7 @@ impl SymbolicVerifier {
     pub fn may_compute_threshold(&self, max_input: u64) -> bool {
         let bound = self
             .stable_set(Output::True)
-            .and_then(|sc1| accepting_population_bound(sc1, &self.cover));
+            .and_then(|sc1| stable_population_bound(sc1, &self.cover, self.protocol.num_states()));
         match bound {
             None => true,
             Some(max) => max >= self.protocol.leaders().size() + max_input,
@@ -188,7 +190,7 @@ impl SymbolicVerifier {
         // configurations means no threshold verifies at any horizon.
         if let Some(max) = self
             .stable_set(Output::True)
-            .and_then(|sc1| accepting_population_bound(sc1, &self.cover))
+            .and_then(|sc1| stable_population_bound(sc1, &self.cover, self.protocol.num_states()))
         {
             return ThresholdVerdict::Refuted {
                 reason: format!(
@@ -304,6 +306,149 @@ pub fn silent_ideals(protocol: &Protocol, limits: &SymbolicLimits) -> Option<Dow
     complement_of_upward(&minimal, n, limits)
 }
 
+/// The outcome of [`PrefilterScratch::prefilter`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PrefilterVerdict {
+    /// Rejected by a [`threshold_prefilter`] stage: no threshold verifies at
+    /// the horizon.
+    RejectedThreshold,
+    /// Passed the threshold stages, rejected by the [`eta_floor_prefilter`]
+    /// stage: no threshold `η ≥ eta_floor` verifies.
+    RejectedEtaFloor,
+    /// Passed both filters: only concrete slices can decide the candidate.
+    Passed,
+}
+
+/// Reusable buffers for the busy-beaver prefilters.
+///
+/// Backward coverability, the complement and Karp–Miller run on flat ω-rows
+/// held here, so a caller that keeps one scratch for all its candidates
+/// allocates nothing per candidate once the buffers have grown.  The
+/// Karp–Miller cover is computed at most once per
+/// [`PrefilterScratch::prefilter`] call and shared by the threshold stage
+/// and the η-floor stage.
+#[derive(Debug, Clone, Default)]
+pub struct PrefilterScratch {
+    backward: BackwardRows,
+    cover: CoverRows,
+    /// `Some(complete)` once the current candidate's cover is in `cover`.
+    cover_state: Option<bool>,
+    coverable: Vec<bool>,
+}
+
+impl PrefilterScratch {
+    /// Runs the [`threshold_prefilter`] stages at horizon `max_input` and,
+    /// if the candidate passes them, the [`eta_floor_prefilter`] stage.
+    pub fn prefilter(
+        &mut self,
+        view: &CandidateView,
+        max_input: u64,
+        eta_floor: u64,
+        limits: &SymbolicLimits,
+    ) -> PrefilterVerdict {
+        self.cover_state = None;
+        if !self.threshold_stages(view, max_input, limits) {
+            PrefilterVerdict::RejectedThreshold
+        } else if !self.eta_floor_stage(view, eta_floor, limits) {
+            PrefilterVerdict::RejectedEtaFloor
+        } else {
+            PrefilterVerdict::Passed
+        }
+    }
+
+    /// The three stages of [`threshold_prefilter`].
+    fn threshold_stages(
+        &mut self,
+        view: &CandidateView,
+        max_input: u64,
+        limits: &SymbolicLimits,
+    ) -> bool {
+        // Stage 1: an accepting consensus needs at least one 1-output state.
+        if !view.outputs().contains(&Output::True) {
+            return false;
+        }
+
+        // Stage 2: support saturation (a Boolean abstraction of the cover).
+        let coverable = &mut self.coverable;
+        coverable.clear();
+        coverable.extend(view.root().iter().map(|&c| c != 0));
+        loop {
+            let mut changed = false;
+            for &[p0, p1, q0, q1] in view.deltas() {
+                if coverable[p0] && coverable[p1] {
+                    for q in [q0, q1] {
+                        if !coverable[q] {
+                            coverable[q] = true;
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        if !view
+            .outputs()
+            .iter()
+            .zip(coverable.iter())
+            .any(|(&out, &covered)| out == Output::True && covered)
+        {
+            return false;
+        }
+
+        // Stage 3: bounded accepting stable sets.
+        self.stable_stage(view, Output::True, view.leaders() + max_input, limits)
+    }
+
+    /// The stage of [`eta_floor_prefilter`].
+    fn eta_floor_stage(
+        &mut self,
+        view: &CandidateView,
+        eta_floor: u64,
+        limits: &SymbolicLimits,
+    ) -> bool {
+        if eta_floor <= 2 {
+            return true;
+        }
+        // No 0-output state at all: no configuration is 0-stable, nothing
+        // can ever be rejected.
+        if !view.outputs().contains(&Output::False) {
+            return false;
+        }
+        self.stable_stage(view, Output::False, view.leaders() + 2, limits)
+    }
+
+    /// Returns `false` only if `SC_b ∩ cover` provably holds no
+    /// configuration of `min_size` or more agents; every cap hit passes.
+    fn stable_stage(
+        &mut self,
+        view: &CandidateView,
+        b: Output,
+        min_size: u64,
+        limits: &SymbolicLimits,
+    ) -> bool {
+        if self.backward.stable_set(view, b, limits).is_none() {
+            return true; // representation cap hit: cannot rule the candidate out
+        }
+        if self.backward.ideals.is_empty() {
+            return false;
+        }
+        let n = view.num_states();
+        let cover = &mut self.cover;
+        let complete = *self
+            .cover_state
+            .get_or_insert_with(|| cover.karp_miller(view, limits).1);
+        if !complete {
+            return true;
+        }
+        match meet_population_bound(&self.backward.ideals, cover.arena.rows(), n) {
+            None => true,
+            Some(max) => max >= min_size,
+        }
+    }
+}
+
 /// Staged symbolic pre-filter for busy-beaver candidates: returns `false`
 /// only when `verified_threshold(protocol, max_input, _)` provably returns
 /// `None`, without exploring a single concrete slice.
@@ -317,64 +462,17 @@ pub fn silent_ideals(protocol: &Protocol, limits: &SymbolicLimits) -> Option<Dow
 ///    `|L| + max_input` agents, so the mandatory accept at `max_input`
 ///    cannot happen.
 pub fn threshold_prefilter(protocol: &Protocol, max_input: u64, limits: &SymbolicLimits) -> bool {
-    // Stage 1: an accepting consensus needs at least one 1-output state.
-    if protocol.states_with_output(Output::True).is_empty() {
-        return false;
-    }
-
-    // Stage 2: support saturation (a Boolean abstraction of the cover).
-    let n = protocol.num_states();
-    let mut coverable = vec![false; n];
-    for var in protocol.input_variables() {
-        coverable[var.state.index()] = true;
-    }
-    for (q, &count) in protocol.leaders().counts().iter().enumerate() {
-        if count > 0 {
-            coverable[q] = true;
-        }
-    }
-    loop {
-        let mut changed = false;
-        for t in protocol.non_silent_transitions() {
-            if coverable[t.pre.lo().index()] && coverable[t.pre.hi().index()] {
-                for q in [t.post.lo().index(), t.post.hi().index()] {
-                    if !coverable[q] {
-                        coverable[q] = true;
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    if !protocol
-        .state_ids()
-        .any(|q| protocol.output_of(q) == Output::True && coverable[q.index()])
-    {
-        return false;
-    }
-
-    // Stage 3: bounded accepting stable sets.
-    let Some(sc1) = symbolic_stable_sets(protocol, Output::True, limits) else {
-        return true;
-    };
-    if sc1.set.is_empty() {
-        return false;
-    }
-    let cover = karp_miller(protocol, limits);
-    match accepting_population_bound(&sc1, &cover) {
-        None => true,
-        Some(max) => max >= protocol.leaders().size() + max_input,
-    }
+    let view = CandidateView::from_protocol(protocol);
+    PrefilterScratch::default().prefilter(&view, max_input, 2, limits)
+        != PrefilterVerdict::RejectedThreshold
 }
 
 /// The largest population of a reachable b-stable configuration, when it is
 /// provably finite: `Some(max)` only if the cover is complete (a sound
 /// over-approximation of reachability) and `SC_b ∩ cover` is bounded.
 ///
-/// This single bound backs all four consumers — the pre-filter stage 3,
+/// Together with [`meet_population_bound`], which it converts into, this
+/// backs all four consumers — the pre-filter stage 3,
 /// [`eta_floor_prefilter`], [`SymbolicVerifier::may_compute_threshold`] and
 /// the all-thresholds refutation of
 /// [`SymbolicVerifier::certify_threshold`] — so the soundness direction is
@@ -382,16 +480,53 @@ pub fn threshold_prefilter(protocol: &Protocol, max_input: u64, limits: &Symboli
 /// truncated backward fixpoint under-approximates `pre*`, so its complement
 /// over-approximates the stable set); a finite bound on the
 /// over-approximation bounds the true set a fortiori.
-fn stable_population_bound(sc: &SymbolicStableSet, cover: &KarpMillerCover) -> Option<u64> {
+fn stable_population_bound(
+    sc: &SymbolicStableSet,
+    cover: &KarpMillerCover,
+    num_states: usize,
+) -> Option<u64> {
     if !cover.complete {
         return None;
     }
-    sc.set.intersect(&cover.set).max_population()
+    let labels: Vec<u32> = cover
+        .set
+        .ideals()
+        .iter()
+        .flat_map(|ideal| {
+            ideal
+                .bounds()
+                .iter()
+                .map(|b| b.map_or(OMEGA, |k| u32::try_from(k).expect("cover labels are u32")))
+        })
+        .collect();
+    meet_population_bound(&set_to_rows64(&sc.set), &labels, num_states)
 }
 
-/// The [`stable_population_bound`] for the accepting stable set `SC_1`.
-fn accepting_population_bound(sc1: &SymbolicStableSet, cover: &KarpMillerCover) -> Option<u64> {
-    stable_population_bound(sc1, cover)
+/// `max_population(↓ideals ∩ ↓labels)` on flat rows of stride `n`: the
+/// largest `Σ_q min(a_q, c_q)` over every ideal row `a` and label row `c`,
+/// or `None` if some pair is `ω` in the same entry (the intersection is
+/// then unbounded).  Dominated rows on either side change neither answer,
+/// so neither side needs to be an antichain.
+fn meet_population_bound(ideals: &[u64], labels: &[u32], n: usize) -> Option<u64> {
+    let mut max = 0u64;
+    for a in ideals.chunks_exact(n) {
+        for c in labels.chunks_exact(n) {
+            let mut sum = 0u64;
+            for (&a, &c) in a.iter().zip(c) {
+                let bound = if c == OMEGA {
+                    if a == OMEGA64 {
+                        return None;
+                    }
+                    a
+                } else {
+                    a.min(u64::from(c))
+                };
+                sum = sum.saturating_add(bound);
+            }
+            max = max.max(sum);
+        }
+    }
+    Some(max)
 }
 
 /// The η-aware symbolic pre-filter: returns `false` only when the protocol
@@ -411,25 +546,8 @@ fn accepting_population_bound(sc1: &SymbolicStableSet, cover: &KarpMillerCover) 
 /// still admissible), so a caller that must preserve the unfloored search
 /// semantics bit for bit can simply pass `2`.
 pub fn eta_floor_prefilter(protocol: &Protocol, eta_floor: u64, limits: &SymbolicLimits) -> bool {
-    if eta_floor <= 2 {
-        return true;
-    }
-    // No 0-output state at all: no configuration is 0-stable, nothing can
-    // ever be rejected.
-    if protocol.states_with_output(Output::False).is_empty() {
-        return false;
-    }
-    let Some(sc0) = symbolic_stable_sets(protocol, Output::False, limits) else {
-        return true; // representation cap hit: cannot rule the candidate out
-    };
-    if sc0.set.is_empty() {
-        return false;
-    }
-    let cover = karp_miller(protocol, limits);
-    match stable_population_bound(&sc0, &cover) {
-        None => true,
-        Some(max) => max >= protocol.leaders().size() + 2,
-    }
+    let view = CandidateView::from_protocol(protocol);
+    PrefilterScratch::default().eta_floor_stage(&view, eta_floor, limits)
 }
 
 #[cfg(test)]

@@ -9,13 +9,18 @@
 //! * the `SymbolicVerifier`'s all-`n` verdicts must agree with the
 //!   per-slice verdicts on every zoo threshold protocol;
 //! * the busy-beaver pre-filter must never reject a candidate that concrete
-//!   profiling verifies (checked over a seeded random candidate sample).
+//!   profiling verifies (checked over a seeded random candidate sample);
+//! * the η-floor pre-filter must never reject a candidate that concrete
+//!   profiling verifies with a threshold `η ≥ 3` (same kind of sample).
 
 use popproto_model::{Input, Output, Protocol, ProtocolBuilder};
-use popproto_reach::{unary_threshold_profile, ExploreLimits, ReachabilityGraph, StableSets};
+use popproto_reach::{
+    frontier_threshold_profile, unary_threshold_profile, ExploreLimits, ReachabilityGraph,
+    StableSets,
+};
 use popproto_symbolic::{
-    karp_miller, symbolic_stable_sets, threshold_prefilter, SymbolicLimits, SymbolicVerifier,
-    ThresholdVerdict,
+    eta_floor_prefilter, karp_miller, symbolic_stable_sets, threshold_prefilter, SymbolicLimits,
+    SymbolicVerifier, ThresholdVerdict,
 };
 use popproto_zoo::catalog;
 use rand::rngs::StdRng;
@@ -197,4 +202,31 @@ fn prefilter_is_sound_for_the_bounded_busy_beaver_semantics() {
     }
     // The filter must actually fire on a meaningful share of the space.
     assert!(rejected > 30, "only {rejected} of 300 candidates rejected");
+}
+
+#[test]
+fn eta_floor_prefilter_is_sound_for_thresholds_above_two() {
+    let limits = SymbolicLimits::prefilter();
+    let explore = ExploreLimits::default();
+    let mut rng = StdRng::seed_from_u64(0xE7A);
+    for (num_states, samples, min_rejected) in [(3, 600, 300), (4, 300, 150)] {
+        let mut rejected = 0usize;
+        for _ in 0..samples {
+            let candidate = random_candidate(&mut rng, num_states);
+            if eta_floor_prefilter(&candidate, 3, &limits) {
+                continue;
+            }
+            rejected += 1;
+            let verified = frontier_threshold_profile(&candidate, 8, &explore).verified_threshold();
+            assert!(
+                verified.is_none_or(|eta| eta < 3),
+                "η-floor filter rejected a candidate that verifies x ≥ {verified:?}: {candidate}"
+            );
+        }
+        // The filter must actually fire on a meaningful share of the space.
+        assert!(
+            rejected > min_rejected,
+            "only {rejected} of {samples} {num_states}-state candidates rejected"
+        );
+    }
 }
